@@ -11,6 +11,7 @@
 package relperf_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -264,8 +265,7 @@ func BenchmarkComparatorAblation(b *testing.B) {
 	for name, cmp := range comparators {
 		cmp := cmp
 		b.Run(name, func(b *testing.B) {
-			cf := func(i, j int) (compare.Outcome, error) { return cmp.Compare(samples[i], samples[j]) }
-			res, err := core.Cluster(len(pls), cf, core.ClusterOptions{Reps: 50, Seed: 3})
+			res, err := core.Cluster(len(pls), core.ClusterOptions{Reps: 50, Seed: 3, Fork: forkOn(cmp, samples)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -277,6 +277,14 @@ func BenchmarkComparatorAblation(b *testing.B) {
 			}
 			b.ReportMetric(res.MeanK, "mean-classes")
 		})
+	}
+}
+
+// forkOn builds a clustering fork that compares samples on forks of cmp.
+func forkOn(cmp compare.Comparator, samples [][]float64) func(uint64) core.CompareFunc {
+	return func(seed uint64) core.CompareFunc {
+		c := cmp.Fork(seed)
+		return func(i, j int) (compare.Outcome, error) { return c.Compare(samples[i], samples[j]) }
 	}
 }
 
@@ -297,11 +305,10 @@ func BenchmarkRepSensitivity(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	cmp := compare.NewBootstrap(13)
-	cf := func(i, j int) (compare.Outcome, error) { return cmp.Compare(samples[i], samples[j]) }
+	fork := forkOn(compare.NewBootstrap(13), samples)
 	for _, reps := range []int{10, 100, 1000} {
 		b.Run("rep="+itoa(reps), func(b *testing.B) {
-			res, err := core.Cluster(len(pls), cf, core.ClusterOptions{Reps: reps, Seed: 3})
+			res, err := core.Cluster(len(pls), core.ClusterOptions{Reps: reps, Seed: 3, Fork: fork})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -313,6 +320,7 @@ func BenchmarkRepSensitivity(b *testing.B) {
 					maxScore = sc
 				}
 			}
+			cf := fork(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Sort(len(pls), cf, core.SortOptions{}); err != nil {
@@ -395,13 +403,13 @@ func BenchmarkGuidedSearch(b *testing.B) {
 			Measure: func() (float64, error) { return s.Seconds(prog, pl) },
 		})
 	}
-	res, err := search.Race(arms, compare.NewBootstrap(6), search.Config{RoundSize: 10, MaxRounds: 6})
+	res, err := search.RaceOn(context.Background(), arms, compare.NewBootstrap(0), search.Config{RoundSize: 10, MaxRounds: 6, Seed: 6}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := search.Race(arms, compare.NewBootstrap(uint64(i)), search.Config{RoundSize: 10, MaxRounds: 6}); err != nil {
+		if _, err := search.RaceOn(context.Background(), arms, compare.NewBootstrap(0), search.Config{RoundSize: 10, MaxRounds: 6, Seed: uint64(i)}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

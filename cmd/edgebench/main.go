@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -479,7 +480,9 @@ func race(seed uint64) error {
 			Measure: func() (float64, error) { return s.Seconds(prog, pl) },
 		})
 	}
-	res, err := search.Race(arms, compare.NewBootstrap(seed+1), search.Config{RoundSize: 10, MaxRounds: 6})
+	res, err := search.RaceOn(context.Background(), arms, compare.NewBootstrap(0), search.Config{
+		RoundSize: 10, MaxRounds: 6, Seed: seed + 1, Workers: workers,
+	}, nil)
 	if err != nil {
 		return err
 	}

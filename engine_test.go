@@ -1,6 +1,7 @@
 package relperf
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -135,7 +136,7 @@ func TestClusterWorkerDeterminism(t *testing.T) {
 	}
 	for _, seed := range []uint64{3, 19, 101} {
 		run := func(workers int) *core.ClusterResult {
-			cr, err := core.Cluster(len(data), nil, core.ClusterOptions{
+			cr, err := core.Cluster(len(data), core.ClusterOptions{
 				Reps: 40, Seed: seed, Workers: workers, Fork: fork,
 			})
 			if err != nil {
@@ -231,9 +232,11 @@ func TestClusterSamplesWithMatrix(t *testing.T) {
 	}
 }
 
-// TestStudyNonForkableComparatorSerialFallback: a custom comparator that
-// does not implement Forker still works (serial clustering path).
-func TestStudyNonForkableComparatorSerialFallback(t *testing.T) {
+// TestStudyFuncComparatorWorkerInvariant: a plain-function comparator
+// forks to itself and runs on the concurrent clustering path like every
+// other comparator, so its studies are byte-identical at Workers=1 and
+// Workers=4, with and without the matrix pre-pass.
+func TestStudyFuncComparatorWorkerInvariant(t *testing.T) {
 	cmp := compare.Func(func(a, b []float64) (compare.Outcome, error) {
 		ma, mb := mean(a), mean(b)
 		switch {
@@ -245,21 +248,30 @@ func TestStudyNonForkableComparatorSerialFallback(t *testing.T) {
 			return compare.Equivalent, nil
 		}
 	})
-	study, err := NewStudy(StudyConfig{Program: smallProgram(), N: 10, Reps: 10, Comparator: cmp, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := study.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Matrix requested but comparator not forkable: must still succeed via
-	// the serial fallback.
-	study, err = NewStudy(StudyConfig{Program: smallProgram(), N: 10, Reps: 10, Comparator: cmp, Matrix: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := study.Run(); err != nil {
-		t.Fatal(err)
+	for _, matrix := range []bool{false, true} {
+		run := func(workers int) *Result {
+			study, err := NewStudy(StudyConfig{Program: smallProgram(), N: 10, Reps: 10, Comparator: cmp, Workers: workers, Matrix: matrix})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := study.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		ref, wide := run(1), run(4)
+		a, err := ref.MarshalWire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := wide.MarshalWire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("matrix=%v: Workers=1 and Workers=4 results differ:\n%s\nvs\n%s", matrix, a, b)
+		}
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
 	"strings"
 	"sync"
@@ -348,8 +349,19 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		case ActionKill:
 			_ = sup.Signal(syscall.SIGKILL)
 		case ActionPause:
+			pid := sup.Pid()
 			_ = sup.Signal(syscall.SIGSTOP)
 			paused = true
+			// kill(2) returns before the stop lands; scraping in that gap
+			// would still reach a live worker. Wait for the kernel to
+			// report the child stopped, and fail with what was seen if it
+			// never does.
+			if state, ok := waitStopped(pid, 5*time.Second); !ok {
+				fed, _ := httpGetBody(client, coordURL+"/v1/grid/metrics")
+				_ = sup.Signal(syscall.SIGCONT)
+				return rep, fmt.Errorf("chaos: round %d: worker %s (pid %d) never stopped after SIGSTOP: process state %s; scrape rows: %s (seed %d)",
+					r, workerID(target), pid, state, scrapeOKRows(fed), cfg.Seed)
+			}
 		case ActionSlowStart:
 			doom[target].Store(true)
 			_ = sup.Signal(syscall.SIGKILL)
@@ -381,8 +393,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			return rep, fmt.Errorf("chaos: round %d federated scrape lost the coordinator's own series (seed %d)", r, cfg.Seed)
 		}
 		if action == ActionPause && !strings.Contains(fed, fmt.Sprintf("grid_scrape_ok{worker=%q} 0", workerID(target))) {
+			state, _ := waitStopped(sup.Pid(), 0)
 			_ = sup.Signal(syscall.SIGCONT)
-			return rep, fmt.Errorf("chaos: round %d: paused worker %s is missing from the federated scrape instead of stale (seed %d)", r, workerID(target), cfg.Seed)
+			return rep, fmt.Errorf("chaos: round %d: paused worker %s is missing from the federated scrape instead of stale: process state %s; scrape rows: %s (seed %d)",
+				r, workerID(target), state, scrapeOKRows(fed), cfg.Seed)
 		}
 		rep.FederatedScrapes++
 
@@ -510,6 +524,46 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg.logf("soak complete: %d requests, %d restarts, %d federated scrapes, %d merged traces, zero failures, zero divergence",
 		rep.Requests, rep.Restarts, rep.FederatedScrapes, rep.MergedTraces)
 	return rep, nil
+}
+
+// waitStopped polls /proc/<pid>/stat (procfs, so Linux only) until the
+// process state reads T (stopped) or bound passes, and returns the last
+// state observed — "T" on success.
+func waitStopped(pid int, bound time.Duration) (string, bool) {
+	deadline := time.Now().Add(bound)
+	for {
+		state := "unknown"
+		stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+		if err != nil {
+			state = err.Error()
+		} else if i := bytes.LastIndexByte(stat, ')'); i >= 0 && i+2 < len(stat) {
+			// The state follows the parenthesised command name, which may
+			// itself contain parentheses.
+			state = string(stat[i+2])
+		}
+		if state == "T" {
+			return state, true
+		}
+		if !time.Now().Before(deadline) {
+			return state, false
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// scrapeOKRows returns the grid_scrape_ok rows of a federated exposition,
+// the staleness evidence a pause-round failure reports.
+func scrapeOKRows(fed string) string {
+	var rows []string
+	for _, line := range strings.Split(fed, "\n") {
+		if strings.HasPrefix(line, "grid_scrape_ok") {
+			rows = append(rows, line)
+		}
+	}
+	if len(rows) == 0 {
+		return "none"
+	}
+	return strings.Join(rows, "; ")
 }
 
 // waitHTTP polls url until it answers 200.

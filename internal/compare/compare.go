@@ -20,16 +20,15 @@
 //
 // # Concurrency and determinism
 //
-// Comparators are not safe for concurrent use (the bootstrap owns an RNG and
-// scratch buffers). Parallel engines instead rely on the Forker interface:
-// Fork(seed) returns an independent comparator clone whose randomness is
-// fully determined by the seed, so a clustering layer can hand every
-// concurrent repetition its own deterministically-seeded comparator and
-// produce bit-identical results at any worker count. Every named comparator
-// in this package implements Forker — the deterministic ones (KS,
-// MannWhitney, MeanThreshold) are stateless and fork to themselves — but the
-// plain-function Func adapter deliberately does not, so function-backed
-// comparators take the serial clustering path unless wrapped in a Forker.
+// Comparator instances are not safe for concurrent use (the bootstrap owns
+// an RNG and scratch buffers). Every comparator therefore also forks:
+// Fork(seed) returns an independent clone whose randomness is fully
+// determined by the seed, so a parallel engine hands every concurrent
+// repetition (or pair) its own deterministically-seeded comparator and
+// produces bit-identical results at any worker count. The deterministic
+// comparators (KS, MannWhitney, MeanThreshold, SketchComparator) are
+// stateless and fork to themselves, and so does the plain-function Func
+// adapter — which is why a Func must be safe for concurrent use.
 package compare
 
 import (
@@ -75,20 +74,23 @@ func (o Outcome) Flip() Outcome { return -o }
 var ErrBadSample = errors.New("compare: sample must contain at least one measurement")
 
 // Comparator decides the relative performance of two measurement sets.
-// Implementations may be stochastic (the bootstrap comparator is); callers
-// that need reproducibility must construct comparators from seeded RNGs.
+// Implementations may be stochastic (the bootstrap comparator is); the
+// embedded Forker is how engines obtain reproducible, independently seeded
+// instances for concurrent work.
 type Comparator interface {
 	// Compare returns Better if a is significantly faster than b, Worse if
 	// significantly slower, and Equivalent otherwise.
 	Compare(a, b []float64) (Outcome, error)
+	Forker
 }
 
-// Forker is implemented by comparators that can produce independent,
-// deterministically-seeded clones of themselves. Parallel clustering engines
-// fork one comparator per repetition (or per pair) so that concurrent
-// comparisons never share RNG state and results are bit-identical for equal
-// seeds regardless of scheduling. Deterministic comparators may simply return
-// themselves.
+// Forker produces independent, deterministically-seeded clones of a
+// comparator. Parallel clustering engines fork one comparator per
+// repetition (or per pair) so that concurrent comparisons never share RNG
+// state and results are bit-identical for equal seeds regardless of
+// scheduling. Deterministic comparators may simply return themselves. All
+// forks of one comparator share its optional capabilities (engines probe
+// one fork for SortedComparator and rely on the answer for every other).
 type Forker interface {
 	// Fork returns a comparator with the same decision parameters whose
 	// stochastic behaviour (if any) is fully determined by seed.
@@ -487,8 +489,13 @@ func (c MeanThreshold) Compare(a, b []float64) (Outcome, error) {
 // Fork implements Forker; MeanThreshold is deterministic and stateless.
 func (c MeanThreshold) Fork(uint64) Comparator { return c }
 
-// Func adapts a plain function to the Comparator interface.
+// Func adapts a plain function to the Comparator interface. Engines call
+// it from concurrent repetitions, so the function must be safe for
+// concurrent use.
 type Func func(a, b []float64) (Outcome, error)
 
 // Compare implements Comparator.
 func (f Func) Compare(a, b []float64) (Outcome, error) { return f(a, b) }
+
+// Fork implements Forker; a Func forks to itself.
+func (f Func) Fork(uint64) Comparator { return f }

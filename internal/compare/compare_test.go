@@ -270,6 +270,11 @@ func TestFuncAdapter(t *testing.T) {
 	if err != nil || o != Better || !called {
 		t.Fatal("Func adapter broken")
 	}
+	// A Func forks to itself: the fork calls the same function.
+	called = false
+	if o, err := f.Fork(9).Compare(nil, nil); err != nil || o != Better || !called {
+		t.Fatal("Func fork does not call the wrapped function")
+	}
 }
 
 func TestComparatorsAgreeOnObviousCases(t *testing.T) {

@@ -17,28 +17,22 @@ type ClusterOptions struct {
 	// repetitions (paper footnote 5) — only the initial order and the
 	// comparator's internal bootstrap randomness vary.
 	Reps int
-	// Seed drives the shuffles; on the legacy serial path the comparator's
-	// own randomness is whatever the caller built into cmp, while on the
-	// Fork path it also keys the per-repetition comparator streams.
+	// Seed keys every repetition's shuffle and comparator stream.
 	Seed uint64
 	// Workers bounds the number of concurrent repetitions; 0 means
-	// GOMAXPROCS. Parallel execution requires Fork; without it repetitions
-	// share cmp and must run serially.
+	// GOMAXPROCS. The results do not depend on this value.
 	Workers int
 	// Fork returns an independent comparison function for one repetition,
-	// fully determined by seed. When set, every repetition — at any worker
+	// fully determined by seed; required. Every repetition — at any worker
 	// count, including 1 — derives its shuffle and its comparator from
 	// per-repetition keyed streams (xrand.Mix of Seed and the repetition
 	// index), so equal seeds produce bit-identical ClusterResults
-	// regardless of Workers. When nil, the legacy serial path is used and
-	// cmp is shared across repetitions.
+	// regardless of Workers.
 	Fork func(seed uint64) CompareFunc
 	// Pool, when non-nil, routes every repetition through a shared global
 	// worker budget instead of a transient pool of Workers goroutines, so
 	// concurrent clustering stages of many studies collectively respect one
-	// concurrency bound. Results are identical either way. Only the Fork
-	// path consults it: the legacy serial path (nil Fork) runs on the
-	// caller's goroutine without acquiring budget tokens.
+	// concurrency bound. Results are identical either way.
 	Pool *pool.Pool
 	// Ctx cancels the clustering stage early (fleet shutdown); nil means
 	// Background. Cancellation aborts with the context's error — it never
@@ -78,21 +72,36 @@ type ClusterResult struct {
 // aggregates the rank assignments into relative scores (Procedure 4 for
 // every rank at once).
 //
-// When opts.Fork is set the repetitions are independent work units: each
-// derives its shuffle and its comparator from streams keyed by the
-// repetition index, and they execute on a pool of opts.Workers goroutines
-// with ordered result collection. The output is bit-identical for equal
-// (p, Reps, Seed, Fork) at every worker count.
-func Cluster(p int, cmp CompareFunc, opts ClusterOptions) (*ClusterResult, error) {
+// The repetitions are independent work units: repetition rep shuffles with
+// the stream keyed by 2·rep and forks its comparator with the seed keyed by
+// 2·rep+1, so no randomness flows between repetitions. They execute on a
+// pool of opts.Workers goroutines (or opts.Pool) and are collected in
+// repetition order; the first error in repetition order wins. The output
+// is bit-identical for equal (p, Reps, Seed, Fork) at every worker count.
+func Cluster(p int, opts ClusterOptions) (*ClusterResult, error) {
 	if p <= 0 {
 		return nil, ErrNoAlgorithms
 	}
-	if cmp == nil && opts.Fork == nil {
-		return nil, errors.New("core: nil compare function")
+	if opts.Fork == nil {
+		return nil, errors.New("core: Cluster requires Fork")
 	}
 	reps := opts.Reps
 	if reps <= 0 {
 		reps = 100
+	}
+	results := make([]*SortResult, reps)
+	err := pool.Dispatch(opts.Ctx, opts.Pool, reps, opts.Workers, func(rep int) error {
+		rng := xrand.NewKeyed(opts.Seed, uint64(2*rep))
+		cmp := opts.Fork(xrand.Mix(opts.Seed, uint64(2*rep+1)))
+		sr, err := Sort(p, cmp, SortOptions{Initial: rng.Perm(p)})
+		if err != nil {
+			return fmt.Errorf("core: clustering repetition %d: %w", rep, err)
+		}
+		results[rep] = sr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	counts := make([][]int, p)
 	for i := range counts {
@@ -100,7 +109,7 @@ func Cluster(p int, cmp CompareFunc, opts ClusterOptions) (*ClusterResult, error
 	}
 	res := &ClusterResult{P: p, Reps: reps}
 	var sumK int
-	accumulate := func(sr *SortResult) {
+	for _, sr := range results {
 		for pos, alg := range sr.Order {
 			r := sr.Ranks[pos]
 			counts[alg][r-1]++
@@ -109,36 +118,6 @@ func Cluster(p int, cmp CompareFunc, opts ClusterOptions) (*ClusterResult, error
 			}
 		}
 		sumK += sr.K()
-	}
-	if opts.Fork != nil {
-		results, err := runRepsParallel(p, reps, opts)
-		if err != nil {
-			return nil, err
-		}
-		for _, sr := range results {
-			accumulate(sr)
-		}
-	} else {
-		ctx := opts.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		rng := xrand.New(opts.Seed)
-		initial := make([]int, p)
-		for i := range initial {
-			initial[i] = i
-		}
-		for rep := 0; rep < reps; rep++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			rng.ShuffleInts(initial)
-			sr, err := Sort(p, cmp, SortOptions{Initial: initial})
-			if err != nil {
-				return nil, fmt.Errorf("core: clustering repetition %d: %w", rep, err)
-			}
-			accumulate(sr)
-		}
 	}
 	res.MeanK = float64(sumK) / float64(reps)
 
@@ -161,42 +140,6 @@ func Cluster(p int, cmp CompareFunc, opts ClusterOptions) (*ClusterResult, error
 		})
 	}
 	return res, nil
-}
-
-// runRepsParallel executes the clustering repetitions on a bounded worker
-// pool. Repetition rep shuffles with the stream keyed by 2·rep and forks its
-// comparator with the seed keyed by 2·rep+1, so no randomness flows between
-// repetitions and the per-repetition results do not depend on scheduling.
-// Results are collected into a rep-indexed slice (ordered collection); the
-// first error in repetition order wins.
-func runRepsParallel(p, reps int, opts ClusterOptions) ([]*SortResult, error) {
-	results := make([]*SortResult, reps)
-	err := forEach(opts.Ctx, opts.Pool, reps, opts.Workers, func(rep int) error {
-		rng := xrand.NewKeyed(opts.Seed, uint64(2*rep))
-		cmp := opts.Fork(xrand.Mix(opts.Seed, uint64(2*rep+1)))
-		sr, err := Sort(p, cmp, SortOptions{Initial: rng.Perm(p)})
-		if err != nil {
-			return fmt.Errorf("core: clustering repetition %d: %w", rep, err)
-		}
-		results[rep] = sr
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// forEach routes a fan-out through the shared pool when one is configured,
-// and through a transient pool of the given width otherwise.
-func forEach(ctx context.Context, p *pool.Pool, n, workers int, fn func(i int) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if p != nil {
-		return p.ForEach(ctx, n, fn)
-	}
-	return pool.ForEachCtx(ctx, n, workers, fn)
 }
 
 // GetCluster returns Procedure 4's output for a single rank r (1-based): the

@@ -48,12 +48,17 @@ func scoresComparator(seed uint64) CompareFunc {
 	}
 }
 
+// fixed forks a stateless comparison function to itself.
+func fixed(cmp CompareFunc) func(uint64) CompareFunc {
+	return func(uint64) CompareFunc { return cmp }
+}
+
 func TestClusterRelativeScoreExample(t *testing.T) {
 	// Reproduces the structure of the paper's Section III scores:
 	//   C1: {AD 1.0, AA ≈ 0.3}
 	//   C2: {AA ≈ 0.7, DD, DA}
 	//   lower clusters: DD, DA with the remaining mass.
-	res, err := Cluster(4, scoresComparator(11), ClusterOptions{Reps: 1000, Seed: 5})
+	res, err := Cluster(4, ClusterOptions{Reps: 1000, Seed: 5, Fork: scoresComparator})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +112,7 @@ func TestClusterRelativeScoreExample(t *testing.T) {
 func TestClusterFinalAssignmentExample(t *testing.T) {
 	// The paper's final clustering from the same example:
 	//   C1: {AD 1.0}; C2: {AA 1.0}; C3: {DD 1.0, DA ≈ 0.9}
-	res, err := Cluster(4, scoresComparator(23), ClusterOptions{Reps: 1000, Seed: 9})
+	res, err := Cluster(4, ClusterOptions{Reps: 1000, Seed: 9, Fork: scoresComparator})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +154,11 @@ func TestClusterFinalAssignmentExample(t *testing.T) {
 }
 
 func TestClusterDeterministicGivenSeeds(t *testing.T) {
-	a, err := Cluster(4, scoresComparator(3), ClusterOptions{Reps: 50, Seed: 4})
+	a, err := Cluster(4, ClusterOptions{Reps: 50, Seed: 4, Fork: scoresComparator})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cluster(4, scoresComparator(3), ClusterOptions{Reps: 50, Seed: 4})
+	b, err := Cluster(4, ClusterOptions{Reps: 50, Seed: 4, Fork: scoresComparator})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,19 +172,19 @@ func TestClusterDeterministicGivenSeeds(t *testing.T) {
 }
 
 func TestClusterErrors(t *testing.T) {
-	if _, err := Cluster(0, fig2Comparator, ClusterOptions{}); err != ErrNoAlgorithms {
+	if _, err := Cluster(0, ClusterOptions{Fork: fixed(fig2Comparator)}); err != ErrNoAlgorithms {
 		t.Fatal("p=0 accepted")
 	}
 	boom := func(i, j int) (compare.Outcome, error) {
 		return 0, compare.ErrBadSample
 	}
-	if _, err := Cluster(3, boom, ClusterOptions{Reps: 2}); err == nil {
+	if _, err := Cluster(3, ClusterOptions{Reps: 2, Fork: fixed(boom)}); err == nil {
 		t.Fatal("comparator error swallowed")
 	}
 }
 
 func TestClusterDefaultReps(t *testing.T) {
-	res, err := Cluster(4, fig2Comparator, ClusterOptions{})
+	res, err := Cluster(4, ClusterOptions{Fork: fixed(fig2Comparator)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +196,7 @@ func TestClusterDefaultReps(t *testing.T) {
 func TestClusterDeterministicComparatorGivesCrispScores(t *testing.T) {
 	// With the deterministic Figure-2 comparator every repetition must land
 	// the same clusters regardless of the shuffle.
-	res, err := Cluster(4, fig2Comparator, ClusterOptions{Reps: 200, Seed: 17})
+	res, err := Cluster(4, ClusterOptions{Reps: 200, Seed: 17, Fork: fixed(fig2Comparator)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +216,7 @@ func TestClusterDeterministicComparatorGivesCrispScores(t *testing.T) {
 }
 
 func TestClusterSingleAlgorithm(t *testing.T) {
-	res, err := Cluster(1, fig2Comparator, ClusterOptions{Reps: 10})
+	res, err := Cluster(1, ClusterOptions{Reps: 10, Fork: fixed(fig2Comparator)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +259,7 @@ func TestFinalizeCompactsGaps(t *testing.T) {
 }
 
 func TestClusterMembershipListsSortedByScore(t *testing.T) {
-	res, err := Cluster(4, scoresComparator(31), ClusterOptions{Reps: 500, Seed: 7})
+	res, err := Cluster(4, ClusterOptions{Reps: 500, Seed: 7, Fork: scoresComparator})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +273,8 @@ func TestClusterMembershipListsSortedByScore(t *testing.T) {
 }
 
 func BenchmarkCluster8AlgsRep100(b *testing.B) {
-	cmp := scoresComparator(1)
 	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(4, cmp, ClusterOptions{Reps: 100, Seed: uint64(i)}); err != nil {
+		if _, err := Cluster(4, ClusterOptions{Reps: 100, Seed: uint64(i), Fork: scoresComparator}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,7 +53,11 @@ func ExampleCluster() {
 			return compare.Equivalent, nil
 		}
 	}
-	res, err := core.Cluster(4, cmp, core.ClusterOptions{Reps: 50, Seed: 1})
+	res, err := core.Cluster(4, core.ClusterOptions{
+		Reps: 50,
+		Seed: 1,
+		Fork: func(uint64) core.CompareFunc { return cmp },
+	})
 	if err != nil {
 		panic(err)
 	}

@@ -20,21 +20,23 @@ func TestClusterScoresPartitionProperty(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Uniform(0, 10)
 		}
-		inner := xrand.New(uint64(seed))
-		cmp := func(i, j int) (compare.Outcome, error) {
-			if inner.Bernoulli(flip) {
-				return compare.Equivalent, nil
-			}
-			switch {
-			case vals[i] < vals[j]-1:
-				return compare.Better, nil
-			case vals[i] > vals[j]+1:
-				return compare.Worse, nil
-			default:
-				return compare.Equivalent, nil
+		fork := func(s uint64) CompareFunc {
+			inner := xrand.New(s)
+			return func(i, j int) (compare.Outcome, error) {
+				if inner.Bernoulli(flip) {
+					return compare.Equivalent, nil
+				}
+				switch {
+				case vals[i] < vals[j]-1:
+					return compare.Better, nil
+				case vals[i] > vals[j]+1:
+					return compare.Worse, nil
+				default:
+					return compare.Equivalent, nil
+				}
 			}
 		}
-		res, err := Cluster(p, cmp, ClusterOptions{Reps: 20, Seed: uint64(seed) + 1})
+		res, err := Cluster(p, ClusterOptions{Reps: 20, Seed: uint64(seed) + 1, Fork: fork})
 		if err != nil {
 			return false
 		}
@@ -72,20 +74,22 @@ func TestFinalizeBoundsProperty(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Uniform(0, 5)
 		}
-		inner := xrand.New(uint64(seed))
-		cmp := func(i, j int) (compare.Outcome, error) {
-			noise := inner.Normal(0, 0.5)
-			d := vals[i] - vals[j] + noise
-			switch {
-			case d < -0.8:
-				return compare.Better, nil
-			case d > 0.8:
-				return compare.Worse, nil
-			default:
-				return compare.Equivalent, nil
+		fork := func(s uint64) CompareFunc {
+			inner := xrand.New(s)
+			return func(i, j int) (compare.Outcome, error) {
+				noise := inner.Normal(0, 0.5)
+				d := vals[i] - vals[j] + noise
+				switch {
+				case d < -0.8:
+					return compare.Better, nil
+				case d > 0.8:
+					return compare.Worse, nil
+				default:
+					return compare.Equivalent, nil
+				}
 			}
 		}
-		res, err := Cluster(p, cmp, ClusterOptions{Reps: 15, Seed: uint64(seed) * 3})
+		res, err := Cluster(p, ClusterOptions{Reps: 15, Seed: uint64(seed) * 3, Fork: fork})
 		if err != nil {
 			return false
 		}

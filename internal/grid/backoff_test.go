@@ -17,8 +17,62 @@ import (
 	"time"
 
 	"relperf"
+	"relperf/internal/supervise"
 	"relperf/internal/wal"
 )
+
+// TestBackoffSchedulesPinned: the dispatch-retry, heartbeat and restart
+// schedules all run on xrand.Backoff, each with its own doubling count and
+// jitter key. Every row pins an exact delay — including the healthy
+// heartbeat cadence, the caps and the restart defaults — so a change to
+// the shared function, or to any caller's doublings or jitter key, shows.
+func TestBackoffSchedulesPinned(t *testing.T) {
+	const ms = time.Millisecond
+	const fp = "00112233445566778899aabbccddeeff"
+	retry := func(seed uint64, fp string, attempt int) func() time.Duration {
+		c := New(Config{Seed: seed, RetryBase: 100 * ms, RetryMax: 400 * ms})
+		return func() time.Duration { return c.retryDelay(fp, attempt) }
+	}
+	heartbeat := func(id string, failures int) func() time.Duration {
+		return func() time.Duration { return heartbeatDelay(200*ms, failures, idHash(id)) }
+	}
+	restart := func(base, max time.Duration, attempt int, key uint64) func() time.Duration {
+		return func() time.Duration { return supervise.RestartDelay(base, max, attempt, key) }
+	}
+	for _, tc := range []struct {
+		name  string
+		delay func() time.Duration
+		want  time.Duration
+	}{
+		{"retry attempt 1", retry(7, fp, 1), 61676283},
+		{"retry attempt 2", retry(7, fp, 2), 112351777},
+		{"retry attempt 3", retry(7, fp, 3), 341191782},
+		{"retry attempt 4 (capped)", retry(7, fp, 4), 254473367},
+		{"retry attempt 6 (capped)", retry(7, fp, 6), 376892895},
+		{"retry other seed", retry(8, fp, 1), 98802349},
+		{"retry other study", retry(7, "ffeeddccbbaa99887766554433221100", 1), 92427289},
+		{"heartbeat healthy", heartbeat("w0", 0), 200 * ms},
+		{"heartbeat failures 1", heartbeat("w0", 1), 287128174},
+		{"heartbeat failures 2", heartbeat("w0", 2), 622940542},
+		{"heartbeat failures 3", heartbeat("w0", 3), 1545655963},
+		{"heartbeat failures 6 (capped)", heartbeat("w0", 6), 6306048229},
+		{"heartbeat failures 12 (capped)", heartbeat("w0", 12), 6813138173},
+		{"heartbeat other worker", heartbeat("w1", 1), 328941592},
+		{"restart attempt 1", restart(100*ms, 800*ms, 1, 12345), 55182338},
+		{"restart attempt 2", restart(100*ms, 800*ms, 2, 12345), 195910127},
+		{"restart attempt 3", restart(100*ms, 800*ms, 3, 12345), 244974022},
+		{"restart attempt 4", restart(100*ms, 800*ms, 4, 12345), 523977202},
+		{"restart attempt 8 (capped)", restart(100*ms, 800*ms, 8, 12345), 690946723},
+		{"restart attempt 20 (capped)", restart(100*ms, 800*ms, 20, 12345), 423589714},
+		{"restart other key", restart(100*ms, 800*ms, 1, 1), 72156580},
+		{"restart default base", restart(0, 0, 3, 12345), 60364414},
+		{"restart max below base", restart(100*ms, 50*ms, 3, 12345), 60364414},
+	} {
+		if got := tc.delay(); got != tc.want {
+			t.Errorf("%s: delay %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
 
 func TestRetryDelayDeterministicCappedDoubling(t *testing.T) {
 	cfg := Config{Seed: 7, RetryBase: 100 * time.Millisecond, RetryMax: 400 * time.Millisecond}
@@ -51,6 +105,46 @@ func TestRetryDelayDeterministicCappedDoubling(t *testing.T) {
 	}
 	if same == 6 {
 		t.Fatal("seed does not key the jitter")
+	}
+}
+
+func TestHeartbeatDelaySchedule(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	key := idHash("w0")
+	if d := heartbeatDelay(interval, 0, key); d != interval {
+		t.Fatalf("healthy delay = %s, want %s", d, interval)
+	}
+	for failures := 1; failures <= 12; failures++ {
+		window := interval
+		for i := 0; i < failures && window < heartbeatMaxBackoff; i++ {
+			window *= 2
+		}
+		if window > heartbeatMaxBackoff {
+			window = heartbeatMaxBackoff
+		}
+		d := heartbeatDelay(interval, failures, key)
+		if d < window/2 || d > window {
+			t.Fatalf("delay at %d failures = %s, outside [%s, %s]", failures, d, window/2, window)
+		}
+		if d2 := heartbeatDelay(interval, failures, key); d2 != d {
+			t.Fatalf("jitter is not deterministic at %d failures: %s vs %s", failures, d, d2)
+		}
+	}
+	// Two workers backing off from the same outage draw different delays —
+	// the anti-thundering-herd property the jitter exists for.
+	other := idHash("w1")
+	same := 0
+	for failures := 1; failures <= 8; failures++ {
+		if heartbeatDelay(interval, failures, other) == heartbeatDelay(interval, failures, key) {
+			same++
+		}
+	}
+	if same == 8 {
+		t.Fatal("worker identity does not key the heartbeat jitter")
+	}
+	// Recovery resets instantly: failures goes back to 0, so does the delay.
+	if d := heartbeatDelay(interval, 0, key); d != interval {
+		t.Fatalf("post-recovery delay = %s, want %s", d, interval)
 	}
 }
 
@@ -115,46 +209,6 @@ func TestDispatchBacksOffBetweenAttempts(t *testing.T) {
 	coord2.mu.Unlock()
 	if outcome != "cancelled" {
 		t.Fatalf("journal outcome %q, want cancelled", outcome)
-	}
-}
-
-func TestHeartbeatDelaySchedule(t *testing.T) {
-	const interval = 200 * time.Millisecond
-	key := idHash("w0")
-	if d := heartbeatDelay(interval, 0, key); d != interval {
-		t.Fatalf("healthy delay = %s, want %s", d, interval)
-	}
-	for failures := 1; failures <= 12; failures++ {
-		window := interval
-		for i := 0; i < failures && window < heartbeatMaxBackoff; i++ {
-			window *= 2
-		}
-		if window > heartbeatMaxBackoff {
-			window = heartbeatMaxBackoff
-		}
-		d := heartbeatDelay(interval, failures, key)
-		if d < window/2 || d > window {
-			t.Fatalf("delay at %d failures = %s, outside [%s, %s]", failures, d, window/2, window)
-		}
-		if d2 := heartbeatDelay(interval, failures, key); d2 != d {
-			t.Fatalf("jitter is not deterministic at %d failures: %s vs %s", failures, d, d2)
-		}
-	}
-	// Two workers backing off from the same outage draw different delays —
-	// the anti-thundering-herd property the jitter exists for.
-	other := idHash("w1")
-	same := 0
-	for failures := 1; failures <= 8; failures++ {
-		if heartbeatDelay(interval, failures, other) == heartbeatDelay(interval, failures, key) {
-			same++
-		}
-	}
-	if same == 8 {
-		t.Fatal("worker identity does not key the heartbeat jitter")
-	}
-	// Recovery resets instantly: failures goes back to 0, so does the delay.
-	if d := heartbeatDelay(interval, 0, key); d != interval {
-		t.Fatalf("post-recovery delay = %s, want %s", d, interval)
 	}
 }
 

@@ -221,22 +221,13 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// retryDelay computes the backoff before attempt+1: the window doubles
-// from RetryBase per completed attempt, capped at RetryMax, and the delay
-// within [window/2, window] is drawn by mixing (Seed, fingerprint,
-// attempt) — deterministic for a given coordinator key, decorrelated
-// across studies.
+// retryDelay computes the backoff before attempt+1 (xrand.Backoff): the
+// window doubles from RetryBase per completed attempt, capped at RetryMax,
+// and the jitter is keyed by (Seed, fingerprint, attempt) — deterministic
+// for a given coordinator key, decorrelated across studies.
 func (c *Coordinator) retryDelay(fingerprint string, attempt int) time.Duration {
-	window := c.cfg.RetryBase
-	for i := 1; i < attempt && window < c.cfg.RetryMax; i++ {
-		window *= 2
-	}
-	if window > c.cfg.RetryMax {
-		window = c.cfg.RetryMax
-	}
-	half := window / 2
 	jitter := xrand.Mix(xrand.Mix(c.cfg.Seed, fingerprintKey(fingerprint)), uint64(attempt))
-	return half + time.Duration(jitter%uint64(half+1))
+	return xrand.Backoff(c.cfg.RetryBase, c.cfg.RetryMax, attempt-1, jitter)
 }
 
 // Registry returns the coordinator's worker registry.

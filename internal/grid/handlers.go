@@ -152,28 +152,16 @@ const DefaultHeartbeatTimeout = 10 * time.Second
 const heartbeatMaxBackoff = 10 * time.Second
 
 // heartbeatDelay is the wait before the next heartbeat: the healthy
-// cadence while the coordinator answers; while it does not, a window
-// doubling per consecutive failure and capped at heartbeatMaxBackoff,
-// with the actual delay drawn deterministically from [window/2, window]
-// keyed by (worker key, failure count) — the same shape as the dispatch
-// retryDelay jitter, and for the same reason: a fleet backing off from
-// one dead coordinator must re-announce spread across the window, not in
-// lockstep. Pure, so the backoff schedule is unit-testable without
-// clocks.
+// cadence while the coordinator answers; while it does not, the
+// xrand.Backoff window doubles per consecutive failure up to
+// heartbeatMaxBackoff, with the jitter keyed by (worker key, failure
+// count) so a fleet backing off from one dead coordinator re-announces
+// spread across the window, not in lockstep.
 func heartbeatDelay(interval time.Duration, failures int, key uint64) time.Duration {
 	if failures <= 0 {
 		return interval
 	}
-	window := interval
-	for i := 0; i < failures && window < heartbeatMaxBackoff; i++ {
-		window *= 2
-	}
-	if window > heartbeatMaxBackoff {
-		window = heartbeatMaxBackoff
-	}
-	half := window / 2
-	jitter := xrand.Mix(key, uint64(failures))
-	return half + time.Duration(jitter%uint64(half+1))
+	return xrand.Backoff(interval, heartbeatMaxBackoff, failures, xrand.Mix(key, uint64(failures)))
 }
 
 // RunHeartbeats announces the worker to the coordinator until ctx is

@@ -14,26 +14,8 @@ import (
 	"sync/atomic"
 )
 
-// ForEach invokes fn(i) for every i in [0, n) on at most workers goroutines
-// (0 means GOMAXPROCS) and returns the error of the lowest-indexed unit
-// that ran and failed, or nil. After any unit fails, dispatch stops and
-// not-yet-started units never run — the caller discards all outputs on
-// error, so the short-circuit cannot affect determinism of successful runs
-// (which error surfaces may vary with scheduling; that an error surfaces
-// does not). Results are collected by index, never by completion order.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return forEach(context.Background(), n, workers, nil, fn)
-}
-
-// ForEachCtx is ForEach with cancellation: when ctx is cancelled, dispatch
-// stops, in-flight units finish, and the context's error is returned unless
-// a unit failed first.
-func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
-	return forEach(ctx, n, workers, nil, fn)
-}
-
 // Pool is a shared worker budget: a fixed number of execution tokens that
-// every ForEach routed through the pool contends for. Concurrent fan-outs
+// every fan-out routed through the pool contends for. Concurrent fan-outs
 // (e.g. the placement campaigns and clustering repetitions of many studies
 // in one suite) collectively never exceed the budget, while each individual
 // fan-out keeps its ordered, deterministic collection semantics.
@@ -58,10 +40,32 @@ func (p *Pool) Workers() int { return cap(p.sem) }
 
 // ForEach invokes fn(i) for every i in [0, n), each unit first acquiring
 // one of the pool's tokens, with the same error and cancellation semantics
-// as ForEachCtx. Results do not depend on the budget or on what else runs
+// as Dispatch. Results do not depend on the budget or on what else runs
 // on the pool concurrently.
 func (p *Pool) ForEach(ctx context.Context, n int, fn func(i int) error) error {
 	return forEach(ctx, n, cap(p.sem), p.sem, fn)
+}
+
+// Dispatch invokes fn(i) for every i in [0, n): on budget when it is
+// non-nil (every unit first acquires one of its tokens), and on a transient
+// pool of workers goroutines otherwise (0 means GOMAXPROCS). A nil ctx means
+// Background. It returns the error of the lowest-indexed unit that ran and
+// failed, or nil. After any unit fails, dispatch stops and not-yet-started
+// units never run — the caller discards all outputs on error, so the
+// short-circuit cannot affect determinism of successful runs (which error
+// surfaces may vary with scheduling; that an error surfaces does not). When
+// ctx is cancelled, dispatch stops, in-flight units finish, and the
+// context's error is returned unless a unit failed first. Results are
+// collected by index, never by completion order, and do not depend on
+// budget or workers.
+func Dispatch(ctx context.Context, budget *Pool, n, workers int, fn func(i int) error) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if budget != nil {
+		return budget.ForEach(ctx, n, fn)
+	}
+	return forEach(ctx, n, workers, nil, fn)
 }
 
 // forEach is the shared engine. When sem is non-nil every unit acquires a

@@ -21,6 +21,9 @@ func fig2Cmp(i, j int) (compare.Outcome, error) {
 	}
 }
 
+// fig2Fork forks the stateless fig2Cmp to itself.
+func fig2Fork(uint64) core.CompareFunc { return fig2Cmp }
+
 var names = []string{"DD", "AA", "DA", "AD"}
 
 func TestTableRender(t *testing.T) {
@@ -48,7 +51,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestClusterTable(t *testing.T) {
-	res, err := core.Cluster(4, fig2Cmp, core.ClusterOptions{Reps: 20, Seed: 1})
+	res, err := core.Cluster(4, core.ClusterOptions{Reps: 20, Seed: 1, Fork: fig2Fork})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestClusterTable(t *testing.T) {
 }
 
 func TestFinalTable(t *testing.T) {
-	res, _ := core.Cluster(4, fig2Cmp, core.ClusterOptions{Reps: 20, Seed: 1})
+	res, _ := core.Cluster(4, core.ClusterOptions{Reps: 20, Seed: 1, Fork: fig2Fork})
 	fa, err := res.Finalize()
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +141,7 @@ func TestSortTrace(t *testing.T) {
 }
 
 func TestRankedNames(t *testing.T) {
-	res, _ := core.Cluster(4, fig2Cmp, core.ClusterOptions{Reps: 20, Seed: 1})
+	res, _ := core.Cluster(4, core.ClusterOptions{Reps: 20, Seed: 1, Fork: fig2Fork})
 	fa, _ := res.Finalize()
 	ranked := RankedNames(fa, names)
 	if ranked[0] != "AD(C1)" {

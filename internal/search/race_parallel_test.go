@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"relperf/internal/compare"
@@ -69,51 +68,6 @@ func TestRaceOnDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// serialProbe wraps a comparator, counting in-flight Compare calls; it does
-// NOT implement compare.Forker, so RaceOn must take the serial fallback and
-// the in-flight count must never exceed one.
-type serialProbe struct {
-	inner      compare.Comparator
-	inFlight   atomic.Int32
-	overlapped atomic.Bool
-	calls      atomic.Int32
-}
-
-func (p *serialProbe) Compare(a, b []float64) (compare.Outcome, error) {
-	if p.inFlight.Add(1) > 1 {
-		p.overlapped.Store(true)
-	}
-	defer p.inFlight.Add(-1)
-	p.calls.Add(1)
-	return p.inner.Compare(a, b)
-}
-
-// TestRaceOnNonForkerFallsBackToSerial: racing with a comparator that
-// cannot fork must (a) never invoke it concurrently and (b) produce exactly
-// the Result of the legacy serial Race with an identically-seeded
-// comparator.
-func TestRaceOnNonForkerFallsBackToSerial(t *testing.T) {
-	cfg := Config{RoundSize: 10, MaxRounds: 4, Workers: 8}
-	probe := &serialProbe{inner: compare.NewBootstrap(5)}
-	got, err := RaceOn(context.Background(), deterministicArms(11), probe, cfg, pool.NewPool(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe.overlapped.Load() {
-		t.Fatal("non-Forker comparator was invoked concurrently")
-	}
-	if probe.calls.Load() == 0 {
-		t.Fatal("probe never invoked")
-	}
-	want, err := Race(deterministicArms(11), &serialProbe{inner: compare.NewBootstrap(5)}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("serial fallback diverged from Race:\n%+v\nvs\n%+v", got, want)
 	}
 }
 

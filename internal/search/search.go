@@ -49,13 +49,11 @@ type Config struct {
 	// MaxArms measures only the MaxArms best-prior candidates (the
 	// paper's "subset of possible solutions"); 0 means all.
 	MaxArms int
-	// Seed keys the per-pair comparator streams of RaceOn's parallel
-	// comparison stage; equal seeds give bit-identical Results at any
-	// worker count. Ignored by Race and by the serial fallback, where the
-	// comparator's own randomness decides.
+	// Seed keys the per-pair comparator streams of the comparison stage;
+	// equal seeds give bit-identical Results at any worker count.
 	Seed uint64
-	// Workers bounds the comparison fan-out of RaceOn when no shared
-	// budget is supplied; 0 means GOMAXPROCS. The results do not depend on
+	// Workers bounds the comparison fan-out when no shared budget is
+	// supplied; 0 means GOMAXPROCS. The results do not depend on
 	// this value.
 	Workers int
 }
@@ -100,16 +98,8 @@ type Result struct {
 	SkippedArms int
 }
 
-// Race runs the eliminate-the-worse loop with the given three-way
-// comparator, serially on the caller's goroutine — the legacy entry point,
-// byte-for-byte compatible with earlier releases. For the parallel
-// comparison stage use RaceOn.
-func Race(arms []Arm, cmp compare.Comparator, cfg Config) (*Result, error) {
-	return race(context.Background(), arms, cmp, cfg, nil, false)
-}
-
-// RaceOn is Race with cancellation, an optional shared worker budget, and a
-// parallel comparison stage. When cmp implements compare.Forker, every
+// RaceOn runs the eliminate-the-worse loop with the given three-way
+// comparator, with cancellation and an optional shared worker budget. Every
 // round's pairwise eliminations run concurrently: each ordered pair of
 // surviving arms gets an independent comparator forked on a stream keyed by
 // (Config.Seed, round, pair), and the outcomes are reduced in index order,
@@ -117,22 +107,11 @@ func Race(arms []Arm, cmp compare.Comparator, cfg Config) (*Result, error) {
 // budget width. Pairs acquire tokens from budget when non-nil (the fleet's
 // global bound), or run on a transient pool of Config.Workers goroutines.
 //
-// A comparator that does not implement compare.Forker cannot be handed out
-// to concurrent pairs safely; RaceOn then falls back to the serial
-// comparison loop of Race (shared comparator, same call order — identical
-// Results to Race).
-//
-// The measurement stage stays serial on the caller's goroutine in either
-// mode: Arm.Measure closures routinely share state (one simulator, one
-// device under test), and measuring arms concurrently would perturb the
-// very distributions being compared.
+// The measurement stage stays serial on the caller's goroutine: Arm.Measure
+// closures routinely share state (one simulator, one device under test),
+// and measuring arms concurrently would perturb the very distributions
+// being compared.
 func RaceOn(ctx context.Context, arms []Arm, cmp compare.Comparator, cfg Config, budget *pool.Pool) (*Result, error) {
-	_, forkable := cmp.(compare.Forker)
-	return race(ctx, arms, cmp, cfg, budget, forkable)
-}
-
-// race is the shared engine; parallel selects the forked comparison stage.
-func race(ctx context.Context, arms []Arm, cmp compare.Comparator, cfg Config, budget *pool.Pool, parallel bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -145,12 +124,7 @@ func race(ctx context.Context, arms []Arm, cmp compare.Comparator, cfg Config, b
 	cfg.defaults()
 	// Probe the comparator's capabilities once for the whole race: whether
 	// forks consume pre-sorted views cannot change between rounds.
-	var forker compare.Forker
-	var sortedOK bool
-	if parallel {
-		forker = cmp.(compare.Forker)
-		_, sortedOK = forker.Fork(0).(compare.SortedComparator)
-	}
+	_, sortedOK := cmp.Fork(0).(compare.SortedComparator)
 
 	// Order by prior and apply the subset cap.
 	order := make([]int, len(arms))
@@ -200,13 +174,7 @@ func race(ctx context.Context, arms []Arm, cmp compare.Comparator, cfg Config, b
 			}
 		}
 		// Eliminate every arm that is Worse than some surviving rival.
-		var worse []bool
-		var err error
-		if parallel {
-			worse, err = eliminateParallel(ctx, forker, sortedOK, res, alive, round, cfg, budget)
-		} else {
-			worse, err = eliminateSerial(cmp, res, alive)
-		}
+		worse, err := eliminate(ctx, cmp, sortedOK, res, alive, round, cfg, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -241,47 +209,19 @@ func race(ctx context.Context, arms []Arm, cmp compare.Comparator, cfg Config, b
 	return res, nil
 }
 
-// eliminateSerial is the legacy comparison stage: one shared comparator,
-// arms scanned in index order, early break on the first Worse verdict. Race
-// and RaceOn's non-Forker fallback both use it, so the two are
-// bit-identical.
-func eliminateSerial(cmp compare.Comparator, res *Result, alive []bool) ([]bool, error) {
-	worse := make([]bool, len(alive))
-	for i := range alive {
-		if !alive[i] || len(res.Arms[i].Sample) == 0 {
-			continue
-		}
-		for j := range alive {
-			if i == j || !alive[j] || len(res.Arms[j].Sample) == 0 {
-				continue
-			}
-			o, err := cmp.Compare(res.Arms[i].Sample, res.Arms[j].Sample)
-			if err != nil {
-				return nil, fmt.Errorf("search: comparing %s vs %s: %w",
-					res.Arms[i].Name, res.Arms[j].Name, err)
-			}
-			if o == compare.Worse {
-				worse[i] = true
-				break
-			}
-		}
-	}
-	return worse, nil
-}
-
 // raceSeedDomain separates the race's keyed streams from every other
 // consumer of a shared seed (ASCII "race").
 const raceSeedDomain = 0x72616365
 
-// eliminateParallel evaluates every ordered pair of surviving arms on an
+// eliminate evaluates every ordered pair of surviving arms on an
 // independent comparator forked from a stream keyed by (Seed, round, i, j),
 // fanned out over the shared budget (or a transient pool of cfg.Workers
 // goroutines), then reduces the outcomes in index order. Because each
 // pair's verdict depends only on its key — never on scheduling or on the
 // verdicts of other pairs — the result is bit-identical at any worker
-// count. Unlike the serial stage it has no early break: all pairs are
-// evaluated, which is what makes them independent units.
-func eliminateParallel(ctx context.Context, forker compare.Forker, sortedOK bool, res *Result, alive []bool, round int, cfg Config, budget *pool.Pool) ([]bool, error) {
+// count. There is no early break: all pairs are evaluated, which is what
+// makes them independent units.
+func eliminate(ctx context.Context, cmp compare.Comparator, sortedOK bool, res *Result, alive []bool, round int, cfg Config, budget *pool.Pool) ([]bool, error) {
 	n := len(alive)
 	type pair struct{ i, j int }
 	var pairs []pair
@@ -313,9 +253,9 @@ func eliminateParallel(ctx context.Context, forker compare.Forker, sortedOK bool
 	}
 	roundSeed := xrand.Mix(xrand.Mix(cfg.Seed, raceSeedDomain), uint64(round))
 	outcomes := make([]compare.Outcome, len(pairs))
-	err := forEachPair(ctx, budget, len(pairs), cfg.Workers, func(k int) error {
+	err := pool.Dispatch(ctx, budget, len(pairs), cfg.Workers, func(k int) error {
 		pr := pairs[k]
-		c := forker.Fork(xrand.Mix(roundSeed, uint64(pr.i*n+pr.j)))
+		c := cmp.Fork(xrand.Mix(roundSeed, uint64(pr.i*n+pr.j)))
 		var o compare.Outcome
 		var err error
 		if sc, ok := c.(compare.SortedComparator); ok && sorted != nil {
@@ -340,15 +280,6 @@ func eliminateParallel(ctx context.Context, forker compare.Forker, sortedOK bool
 		}
 	}
 	return worse, nil
-}
-
-// forEachPair routes the comparison fan-out through the shared budget when
-// one is configured, and through a transient pool otherwise.
-func forEachPair(ctx context.Context, budget *pool.Pool, n, workers int, fn func(k int) error) error {
-	if budget != nil {
-		return budget.ForEach(ctx, n, fn)
-	}
-	return pool.ForEachCtx(ctx, n, workers, fn)
 }
 
 // median of a sample (copy + nth element would be overkill at these sizes).

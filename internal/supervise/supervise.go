@@ -245,13 +245,11 @@ func (s *Supervisor) Signal(sig os.Signal) error {
 	return cmd.Process.Signal(sig)
 }
 
-// RestartDelay is the pure backoff schedule: the window doubles from base
-// per consecutive failed start (attempt 1 = first restart), capped at
-// max, and the delay is drawn deterministically from [window/2, window]
-// by mixing (key, attempt) — the same capped-doubling-with-derived-jitter
-// shape as the grid's dispatch retry and heartbeat backoff, for the same
-// reason: a fleet of supervisors restarting children after a shared
-// failure must spread their restarts across the window, not stampede.
+// RestartDelay is the pure restart backoff schedule (xrand.Backoff): the
+// window doubles from base per consecutive failed start (attempt 1 = first
+// restart), capped at max, with the jitter keyed by (key, attempt) so a
+// fleet of supervisors restarting children after a shared failure spreads
+// its restarts across the window instead of stampeding.
 func RestartDelay(base, max time.Duration, attempt int, key uint64) time.Duration {
 	if base <= 0 {
 		base = DefaultBackoffBase
@@ -259,16 +257,7 @@ func RestartDelay(base, max time.Duration, attempt int, key uint64) time.Duratio
 	if max < base {
 		max = base
 	}
-	window := base
-	for i := 1; i < attempt && window < max; i++ {
-		window *= 2
-	}
-	if window > max {
-		window = max
-	}
-	half := window / 2
-	jitter := xrand.Mix(key, uint64(attempt))
-	return half + time.Duration(jitter%uint64(half+1))
+	return xrand.Backoff(base, max, attempt-1, xrand.Mix(key, uint64(attempt)))
 }
 
 // Run supervises the child until ctx is cancelled (clean shutdown: nil)

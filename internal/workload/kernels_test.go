@@ -99,10 +99,12 @@ func TestKernelVariantClusteringShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp := compare.NewBootstrap(13)
 	data := ss.Data()
-	cf := func(i, j int) (compare.Outcome, error) { return cmp.Compare(data[i], data[j]) }
-	cr, err := core.Cluster(len(data), cf, core.ClusterOptions{Reps: 50, Seed: 17})
+	fork := func(seed uint64) core.CompareFunc {
+		cmp := compare.NewBootstrap(0).Fork(seed)
+		return func(i, j int) (compare.Outcome, error) { return cmp.Compare(data[i], data[j]) }
+	}
+	cr, err := core.Cluster(len(data), core.ClusterOptions{Reps: 50, Seed: 17, Fork: fork})
 	if err != nil {
 		t.Fatal(err)
 	}

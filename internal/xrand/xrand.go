@@ -13,7 +13,10 @@
 // more than adequate for simulation workloads.
 package xrand
 
-import "math"
+import (
+	"math"
+	"time"
+)
 
 // splitMix64 advances a SplitMix64 state and returns the next value.
 // It is used for seeding and for Split; it must never be exposed raw.
@@ -91,6 +94,26 @@ func Mix(seed, key uint64) uint64 {
 	v := splitMix64(&s)
 	s = v ^ (key * 0x9e3779b97f4a7c15)
 	return splitMix64(&s)
+}
+
+// Backoff is the capped, deterministically jittered exponential backoff
+// schedule shared by dispatch retries, heartbeats and process restarts: the
+// window starts at base and doubles doublings times, never past max, and
+// the delay is drawn from [window/2, window] by the caller's jitter word
+// (typically Mix of a caller key and the attempt count). Deriving the
+// jitter instead of sampling it keeps schedules reproducible, while
+// distinct keys spread a fleet backing off from one shared failure across
+// the window instead of letting it retry in lockstep.
+func Backoff(base, max time.Duration, doublings int, jitter uint64) time.Duration {
+	window := base
+	for i := 0; i < doublings && window < max; i++ {
+		window *= 2
+	}
+	if window > max {
+		window = max
+	}
+	half := window / 2
+	return half + time.Duration(jitter%uint64(half+1))
 }
 
 // NewKeyed returns a generator for sub-stream key of the stream identified by

@@ -22,9 +22,9 @@
 // # Parallel execution and the determinism contract
 //
 // Run fans the measurement of the 2^L placements out over a worker pool
-// (StudyConfig.Workers, default GOMAXPROCS) and, when the comparator
-// supports forking (compare.Forker), runs the clustering repetitions
-// concurrently as well. The engine guarantees that equal seeds produce
+// (StudyConfig.Workers, default GOMAXPROCS) and runs the clustering
+// repetitions concurrently as well, each on its own fork of the comparator
+// (compare.Forker). The engine guarantees that equal seeds produce
 // bit-identical Results regardless of the worker count: every unit of work
 // (a placement's measurement campaign, a clustering repetition, a pair's
 // bootstrap pre-pass) draws from its own RNG stream keyed by the unit's
@@ -92,12 +92,10 @@ type StudyConfig struct {
 	// Seed drives every stochastic component; studies with equal seeds
 	// and configs produce identical results, whatever the worker count.
 	Seed uint64
-	// Comparator overrides the default bootstrap comparator. Comparators
-	// implementing compare.Forker enable parallel clustering repetitions;
-	// others fall back to a serial clustering stage. On the Forker path
-	// only the comparator's decision parameters carry over: every
-	// repetition uses a fork whose randomness is keyed off Seed, so any
-	// RNG built into the supplied comparator itself is never drawn.
+	// Comparator overrides the default bootstrap comparator. Only its
+	// decision parameters carry over: every clustering repetition uses a
+	// fork whose randomness is keyed off Seed, so any RNG built into the
+	// supplied comparator itself is never drawn. Forks run concurrently.
 	Comparator compare.Comparator
 	// Workers bounds the worker pool for measurement and clustering;
 	// 0 means GOMAXPROCS. The results do not depend on this value.
@@ -105,7 +103,7 @@ type StudyConfig struct {
 	// Matrix enables the precomputed pairwise-statistics clustering path
 	// (core.ClusterMatrix): each pair's bootstrap outcome distribution is
 	// estimated once in parallel and the repetitions sample from the
-	// cache. Requires a forkable comparator; ignored otherwise.
+	// cache.
 	Matrix bool
 	// MatrixTrials is the number of comparator trials per pair on the
 	// Matrix path (default 32).
@@ -365,11 +363,8 @@ func (s *Study) Run() (*Result, error) {
 // clustering repetitions, matrix pre-pass pairs) acquires a token from it
 // instead of a private pool of StudyConfig.Workers goroutines, so many
 // concurrent studies collectively respect one global concurrency bound —
-// the fleet scheduler's execution mode. One exception: a custom comparator
-// that does not implement compare.Forker forces the serial clustering
-// fallback, which runs on the study's own goroutine outside the budget
-// (the fleet layers never hit this — Fingerprint rejects custom
-// comparators). The Result is bit-identical whichever way the study runs.
+// the fleet scheduler's execution mode. The Result is bit-identical
+// whichever way the study runs.
 func (s *Study) RunOn(ctx context.Context, budget *Budget) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -410,12 +405,7 @@ func (s *Study) RunOn(ctx context.Context, budget *Budget) (*Result, error) {
 		res.Stages = append(res.Stages, StageTiming{Name: name, Start: start, Seconds: time.Since(start).Seconds()})
 	}
 	stageStart := time.Now()
-	var err error
-	if shared != nil {
-		err = shared.ForEach(ctx, p, measureOne)
-	} else {
-		err = pool.ForEachCtx(ctx, p, s.cfg.Workers, measureOne)
-	}
+	err := pool.Dispatch(ctx, shared, p, s.cfg.Workers, measureOne)
 	if err != nil {
 		return nil, err
 	}
@@ -444,9 +434,9 @@ func (s *Study) RunOn(ctx context.Context, budget *Budget) (*Result, error) {
 	} else {
 		cmp := s.cfg.Comparator
 		if cmp == nil {
-			// Only the prototype's decision parameters matter: Bootstrap
-			// implements Forker, so clusterData replaces it with per-repetition
-			// forks keyed off the cluster seed and this RNG never draws.
+			// Only the prototype's decision parameters matter: clusterData
+			// replaces it with per-repetition forks keyed off the cluster
+			// seed, so this RNG never draws.
 			cmp = compare.NewBootstrap(0)
 		}
 		res.Clusters, err = clusterData(res.Samples, cmp, ccfg)
@@ -494,11 +484,9 @@ type clusterConfig struct {
 	Pool         *pool.Pool
 }
 
-// clusterData runs the clustering stage over measured distributions. When
-// cmp implements compare.Forker the repetitions execute in parallel with
-// per-repetition keyed comparator streams (and optionally via the
-// precomputed pairwise matrix); otherwise the legacy serial path is used
-// with cmp shared across repetitions.
+// clusterData runs the clustering stage over measured distributions: the
+// repetitions execute in parallel, each on its own fork of cmp keyed off
+// the cluster seed (optionally via the precomputed pairwise matrix).
 //
 // When the forked comparators also implement compare.SortedComparator
 // (bootstrap, KS), every sample is sorted exactly once up front —
@@ -506,50 +494,37 @@ type clusterConfig struct {
 // read off the shared sorted views, bit-identically to the raw path.
 func clusterData(ss *measure.SampleSet, cmp compare.Comparator, cfg clusterConfig) (*core.ClusterResult, error) {
 	data := ss.Data()
-	forker, forkable := cmp.(compare.Forker)
-	if forkable {
-		fork := func(seed uint64) core.CompareFunc {
-			c := forker.Fork(seed)
-			return func(i, j int) (compare.Outcome, error) { return c.Compare(data[i], data[j]) }
+	fork := func(seed uint64) core.CompareFunc {
+		c := cmp.Fork(seed)
+		return func(i, j int) (compare.Outcome, error) { return c.Compare(data[i], data[j]) }
+	}
+	if _, ok := cmp.Fork(0).(compare.SortedComparator); ok {
+		// Pre-sort all samples once; the clustering and matrix stages
+		// then never re-derive sample order.
+		sorted := ss.Sorted()
+		fork = func(seed uint64) core.CompareFunc {
+			sc := cmp.Fork(seed).(compare.SortedComparator)
+			return func(i, j int) (compare.Outcome, error) { return sc.CompareSorted(sorted[i], sorted[j]) }
 		}
-		if _, ok := forker.Fork(0).(compare.SortedComparator); ok {
-			// Pre-sort all samples once; the clustering and matrix stages
-			// then never re-derive sample order.
-			sorted := ss.Sorted()
-			fork = func(seed uint64) core.CompareFunc {
-				c := forker.Fork(seed)
-				sc, ok := c.(compare.SortedComparator)
-				if !ok { // a Fork that changes type mid-stream: stay correct
-					return func(i, j int) (compare.Outcome, error) { return c.Compare(data[i], data[j]) }
-				}
-				return func(i, j int) (compare.Outcome, error) { return sc.CompareSorted(sorted[i], sorted[j]) }
-			}
-		}
-		if cfg.Matrix {
-			return core.ClusterMatrix(len(data), core.MatrixOptions{
-				Reps:    cfg.Reps,
-				Trials:  cfg.MatrixTrials,
-				Workers: cfg.Workers,
-				Seed:    cfg.Seed,
-				Fork:    fork,
-				Pool:    cfg.Pool,
-				Ctx:     cfg.Ctx,
-			})
-		}
-		return core.Cluster(len(data), nil, core.ClusterOptions{
+	}
+	if cfg.Matrix {
+		return core.ClusterMatrix(len(data), core.MatrixOptions{
 			Reps:    cfg.Reps,
-			Seed:    cfg.Seed,
+			Trials:  cfg.MatrixTrials,
 			Workers: cfg.Workers,
+			Seed:    cfg.Seed,
 			Fork:    fork,
 			Pool:    cfg.Pool,
 			Ctx:     cfg.Ctx,
 		})
 	}
-	cf := func(i, j int) (compare.Outcome, error) { return cmp.Compare(data[i], data[j]) }
-	return core.Cluster(len(data), cf, core.ClusterOptions{
-		Reps: cfg.Reps,
-		Seed: cfg.Seed,
-		Ctx:  cfg.Ctx,
+	return core.Cluster(len(data), core.ClusterOptions{
+		Reps:    cfg.Reps,
+		Seed:    cfg.Seed,
+		Workers: cfg.Workers,
+		Fork:    fork,
+		Pool:    cfg.Pool,
+		Ctx:     cfg.Ctx,
 	})
 }
 
@@ -567,7 +542,7 @@ func clusterSketches(ss *measure.SketchSet, cmp compare.SketchComparator, cfg cl
 	fork := func(uint64) core.CompareFunc {
 		return func(i, j int) (compare.Outcome, error) { return cmp.CompareSketches(sks[i], sks[j]) }
 	}
-	return core.Cluster(len(sks), nil, core.ClusterOptions{
+	return core.Cluster(len(sks), core.ClusterOptions{
 		Reps:    cfg.Reps,
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,
@@ -603,11 +578,10 @@ type ClusterSamplesOptions struct {
 }
 
 // ClusterSamplesWith is ClusterSamples with explicit engine options: the
-// repetitions run on a worker pool when cmp (or the default bootstrap
-// comparator) supports forking, under the same determinism contract as
-// Study.Run. As with StudyConfig.Comparator, a forkable cmp contributes
-// only its decision parameters — all clustering randomness derives from
-// opts.Seed, not from any RNG built into cmp.
+// repetitions run on a worker pool under the same determinism contract as
+// Study.Run. As with StudyConfig.Comparator, cmp contributes only its
+// decision parameters — all clustering randomness derives from opts.Seed,
+// not from any RNG built into cmp.
 //
 // The engine sorts every sample once up front and reuses the sorted views
 // across calls (measure.SampleSet.Sorted). Samples that grow or visibly

@@ -110,11 +110,9 @@ func (s *Study) Fingerprint() (string, error) {
 	for _, pl := range s.placements {
 		fmt.Fprintf(h, "placement %s\n", pl)
 	}
-	// Matrix only changes the result when the comparator can fork; the
-	// trial cap only matters on the matrix path. Normalizing both keeps
+	// The trial cap only matters on the matrix path; normalizing it keeps
 	// no-op flag differences from splitting the cache identity.
-	_, forkable := effectiveComparator(s.cfg.Comparator).(compare.Forker)
-	matrix := s.cfg.Matrix && forkable
+	matrix := s.cfg.Matrix
 	trials := 0
 	if matrix {
 		trials = s.cfg.MatrixTrials
@@ -133,14 +131,6 @@ func (s *Study) Fingerprint() (string, error) {
 	}
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16]), nil
-}
-
-// effectiveComparator resolves the nil default.
-func effectiveComparator(cmp compare.Comparator) compare.Comparator {
-	if cmp == nil {
-		return compare.NewBootstrap(0)
-	}
-	return cmp
 }
 
 func fingerprintDevice(w io.Writer, label string, d *device.Device) error {
